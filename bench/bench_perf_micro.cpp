@@ -106,8 +106,8 @@ void BM_FlowtupleEncodeStream(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowtupleEncodeStream)->Arg(1000)->Arg(100000);
 
-// Block decoder over an in-memory blob — the production read path
-// (read_file slurps then calls exactly this).
+// Block decoder over an in-memory blob — the same record decoder that
+// FlowTupleCodec::read_columns() feeds from a file in 100 KiB chunks.
 void BM_FlowtupleDecode(benchmark::State& state) {
   util::Rng rng(1);
   const auto flows = make_flows(static_cast<std::size_t>(state.range(0)), rng);

@@ -28,6 +28,20 @@ void FlowBatch::reserve(std::size_t n) {
   pkt_count.reserve(n);
 }
 
+void FlowBatch::resize(std::size_t n) {
+  tag_recipe = 0;
+  class_tag.clear();
+  src.resize(n);
+  dst.resize(n);
+  src_port.resize(n);
+  dst_port.resize(n);
+  proto.resize(n);
+  tcp_flags.resize(n);
+  ttl.resize(n);
+  ip_len.resize(n);
+  pkt_count.resize(n);
+}
+
 void FlowBatch::push_back(const FlowTuple& t) {
   tag_recipe = 0;  // any existing tags no longer cover every record
   src.push_back(t.src);

@@ -65,6 +65,10 @@ struct FlowBatch {
 
   void reserve(std::size_t n);
 
+  /// Sizes every data column to n records (new ones zeroed) so a decoder
+  /// can fill them by index. Tags are dropped, as by push_back().
+  void resize(std::size_t n);
+
   /// Appends one record to every data column (class_tag untouched).
   void push_back(const FlowTuple& t);
 

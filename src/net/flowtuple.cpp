@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <iterator>
+#include <memory>
 
 #include "net/flow_batch.hpp"
 #include "util/io.hpp"
@@ -62,10 +63,68 @@ bool known_protocol(std::uint8_t proto) noexcept {
          proto == static_cast<std::uint8_t>(Protocol::Icmp);
 }
 
+/// Header bytes: magic, version, interval, start time, record count.
+constexpr std::size_t kHeaderBytes = 4 + 2 + 4 + 8 + 8;
+
+/// Records read_columns() moves per read: 100 KiB, small enough that the
+/// buffer comes from the allocator's arena rather than its own mapping.
+constexpr std::size_t kChunkRecords = 4096;
+
+/// Validates the header at r (magic, version, the record-count cap),
+/// sets batch's interval and start time, and returns the untrusted count.
+std::uint64_t decode_header(util::ByteReader& r, FlowBatch& batch) {
+  if (r.u32() != FlowTupleCodec::kMagic) {
+    throw util::IoError("flowtuple file: bad magic");
+  }
+  if (r.u16() != FlowTupleCodec::kVersion) {
+    throw util::IoError("flowtuple file: unsupported version");
+  }
+  batch.interval = static_cast<int>(r.u32());
+  batch.start_time = static_cast<std::int64_t>(r.u64());
+  const std::uint64_t count = r.u64();
+  // Sanity cap: an hourly file beyond 1B records is corrupt.
+  if (count > (1ULL << 30)) {
+    throw util::IoError("flowtuple file: implausible record count");
+  }
+  return count;
+}
+
+/// Fills records [first, first + n) of a batch already sized past them
+/// from the n packed records at b; throws on an unknown protocol.
+void decode_records(const unsigned char* b, std::size_t n, std::size_t first,
+                    FlowBatch& batch) {
+  // Plain pointers: the byte-column stores may alias anything, so
+  // indexing through the vectors would reload their data pointers after
+  // every record.
+  Ipv4Address* src = batch.src.data() + first;
+  Ipv4Address* dst = batch.dst.data() + first;
+  Port* src_port = batch.src_port.data() + first;
+  Port* dst_port = batch.dst_port.data() + first;
+  Protocol* proto = batch.proto.data() + first;
+  std::uint8_t* ttl = batch.ttl.data() + first;
+  std::uint8_t* tcp_flags = batch.tcp_flags.data() + first;
+  std::uint16_t* ip_len = batch.ip_len.data() + first;
+  std::uint64_t* pkt_count = batch.pkt_count.data() + first;
+  for (std::size_t i = 0; i < n; ++i, b += FlowTupleCodec::kRecordBytes) {
+    if (!known_protocol(b[12])) {
+      throw util::IoError("flowtuple file: unknown protocol value");
+    }
+    src[i] = Ipv4Address(util::load_le32(b + 0));
+    dst[i] = Ipv4Address(util::load_le32(b + 4));
+    src_port[i] = util::load_le16(b + 8);
+    dst_port[i] = util::load_le16(b + 10);
+    proto[i] = static_cast<Protocol>(b[12]);
+    ttl[i] = b[13];
+    tcp_flags[i] = b[14];
+    ip_len[i] = util::load_le16(b + 15);
+    pkt_count[i] = util::load_le64(b + 17);
+  }
+}
+
 }  // namespace
 
 void FlowTupleCodec::encode(std::string& out, const HourlyFlows& flows) {
-  out.reserve(out.size() + 26 + flows.records.size() * kRecordBytes);
+  out.reserve(out.size() + kHeaderBytes + flows.records.size() * kRecordBytes);
   util::ByteWriter w(out);
   w.u32(kMagic);
   w.u16(kVersion);
@@ -89,7 +148,7 @@ void FlowTupleCodec::encode(std::string& out, const HourlyFlows& flows) {
 
 void FlowTupleCodec::encode(std::string& out, const FlowBatch& batch) {
   const std::size_t n = batch.size();
-  out.reserve(out.size() + 26 + n * kRecordBytes);
+  out.reserve(out.size() + kHeaderBytes + n * kRecordBytes);
   util::ByteWriter w(out);
   w.u32(kMagic);
   w.u16(kVersion);
@@ -112,81 +171,50 @@ void FlowTupleCodec::encode(std::string& out, const FlowBatch& batch) {
 }
 
 HourlyFlows FlowTupleCodec::decode(std::string_view blob) {
-  util::ByteReader r(blob);
-  if (r.u32() != kMagic) {
-    throw util::IoError("flowtuple file: bad magic");
-  }
-  if (r.u16() != kVersion) {
-    throw util::IoError("flowtuple file: unsupported version");
-  }
-  HourlyFlows flows;
-  flows.interval = static_cast<int>(r.u32());
-  flows.start_time = static_cast<std::int64_t>(r.u64());
-  const std::uint64_t count = r.u64();
-  // Sanity cap: an hourly file beyond 1B records is corrupt.
-  if (count > (1ULL << 30)) {
-    throw util::IoError("flowtuple file: implausible record count");
-  }
-  // The whole blob is already in memory, so the untrusted count can be
-  // clamped to what the remaining bytes can actually yield — a corrupt
-  // header cannot force an allocation beyond the file's own size.
-  flows.records.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, r.remaining() / kRecordBytes)));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const unsigned char* b = r.bytes(kRecordBytes);
-    FlowTuple t;
-    t.src = Ipv4Address(util::load_le32(b + 0));
-    t.dst = Ipv4Address(util::load_le32(b + 4));
-    t.src_port = util::load_le16(b + 8);
-    t.dst_port = util::load_le16(b + 10);
-    if (!known_protocol(b[12])) {
-      throw util::IoError("flowtuple file: unknown protocol value");
-    }
-    t.protocol = static_cast<Protocol>(b[12]);
-    t.ttl = b[13];
-    t.tcp_flags = b[14];
-    t.ip_length = util::load_le16(b + 15);
-    t.packet_count = util::load_le64(b + 17);
-    flows.records.push_back(t);
-  }
-  return flows;
+  return decode_columns(blob).to_rows();
 }
 
 FlowBatch FlowTupleCodec::decode_columns(std::string_view blob) {
   util::ByteReader r(blob);
-  if (r.u32() != kMagic) {
-    throw util::IoError("flowtuple file: bad magic");
-  }
-  if (r.u16() != kVersion) {
-    throw util::IoError("flowtuple file: unsupported version");
-  }
   FlowBatch batch;
-  batch.interval = static_cast<int>(r.u32());
-  batch.start_time = static_cast<std::int64_t>(r.u64());
-  const std::uint64_t count = r.u64();
-  // Sanity cap: an hourly file beyond 1B records is corrupt.
-  if (count > (1ULL << 30)) {
-    throw util::IoError("flowtuple file: implausible record count");
+  const std::uint64_t count = decode_header(r, batch);
+  // The whole blob is in memory, so the untrusted count is clamped to
+  // what the remaining bytes can actually yield: a corrupt header cannot
+  // force an allocation beyond the blob's own size. Every column is
+  // sized once to that and filled by index.
+  const std::size_t n = static_cast<std::size_t>(
+      std::min<std::uint64_t>(count, r.remaining() / kRecordBytes));
+  batch.resize(n);
+  decode_records(r.bytes(n * kRecordBytes), n, 0, batch);
+  // Records the count names beyond the clamp are missing from the blob:
+  // the cursor raises its truncation error for the first of them.
+  if (count > n) r.bytes(kRecordBytes);
+  return batch;
+}
+
+FlowBatch FlowTupleCodec::read_columns(const std::filesystem::path& path) {
+  util::FileReader file(path);
+  unsigned char header[kHeaderBytes];
+  util::ByteReader r(header, file.read_some(header, sizeof header));
+  FlowBatch batch;
+  const std::uint64_t count = decode_header(r, batch);
+  // Same clamp as decode_columns(), against the bytes the file holds
+  // past its header.
+  const std::uint64_t body =
+      file.size() > kHeaderBytes ? file.size() - kHeaderBytes : 0;
+  const std::size_t n = static_cast<std::size_t>(
+      std::min<std::uint64_t>(count, body / kRecordBytes));
+  batch.resize(n);
+  const auto chunk = std::make_unique_for_overwrite<unsigned char[]>(
+      std::min(n, kChunkRecords) * kRecordBytes);
+  for (std::size_t first = 0; first < n; first += kChunkRecords) {
+    const std::size_t m = std::min(n - first, kChunkRecords);
+    file.read_exact(chunk.get(), m * kRecordBytes);
+    decode_records(chunk.get(), m, first, batch);
   }
-  // Same clamp as decode(): the blob is in memory, so a corrupt count
-  // cannot force allocations beyond what the remaining bytes can yield.
-  batch.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, r.remaining() / kRecordBytes)));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const unsigned char* b = r.bytes(kRecordBytes);
-    if (!known_protocol(b[12])) {
-      throw util::IoError("flowtuple file: unknown protocol value");
-    }
-    batch.src.push_back(Ipv4Address(util::load_le32(b + 0)));
-    batch.dst.push_back(Ipv4Address(util::load_le32(b + 4)));
-    batch.src_port.push_back(util::load_le16(b + 8));
-    batch.dst_port.push_back(util::load_le16(b + 10));
-    batch.proto.push_back(static_cast<Protocol>(b[12]));
-    batch.ttl.push_back(b[13]);
-    batch.tcp_flags.push_back(b[14]);
-    batch.ip_len.push_back(util::load_le16(b + 15));
-    batch.pkt_count.push_back(util::load_le64(b + 17));
-  }
+  // The file ends before the records the count names beyond the clamp:
+  // the same truncation error the in-memory cursor raises.
+  if (count > n) throw util::IoError("unexpected end of stream");
   return batch;
 }
 
@@ -255,7 +283,7 @@ void FlowTupleCodec::write_file(const std::filesystem::path& path,
 }
 
 HourlyFlows FlowTupleCodec::read_file(const std::filesystem::path& path) {
-  return decode(util::read_file(path));
+  return read_columns(path).to_rows();
 }
 
 std::string FlowTupleCodec::file_name(int interval) {

@@ -80,12 +80,14 @@ struct HourlyFlows {
 /// integers little-endian. Readers validate magic/version and record
 /// bounds and throw util::IoError on malformed input.
 ///
-/// Hot path: encode()/decode() run over a contiguous in-memory buffer
-/// (util::ByteWriter/ByteReader) — one bounds check per 25-byte record
-/// instead of four-to-nine virtual istream reads. The stream overloads
-/// and the file helpers route through them; read_unbuffered() keeps the
-/// original per-field istream decoder as the reference implementation for
-/// equivalence tests and the bench ablation.
+/// Hot path: encode()/decode_columns() run over a contiguous in-memory
+/// buffer (util::ByteWriter/ByteReader) — one bounds check for all the
+/// records the bytes hold instead of four-to-nine virtual istream reads
+/// per record. The stream overloads and the file helpers route through
+/// them (read_columns() feeds the record decoder from the file in 100 KiB
+/// chunks); read_unbuffered() keeps the original per-field istream decoder
+/// as the reference implementation for equivalence tests and the bench
+/// ablation.
 class FlowTupleCodec {
  public:
   static constexpr std::uint32_t kMagic = 0x31544649;  // "IFT1"
@@ -100,14 +102,21 @@ class FlowTupleCodec {
   /// column vectors instead of AoS records (class_tag is derived state
   /// and never serialized).
   static void encode(std::string& out, const FlowBatch& batch);
-  /// Decodes a complete in-memory blob with a bounds-checked cursor.
+  /// Decodes a complete in-memory blob: validates magic, version, the
+  /// record-count cap, each record's protocol and truncation, sizes every
+  /// column once from the count clamped to the bytes present, and fills
+  /// the columns by index, so records never materialize as AoS structs.
   /// Trailing bytes after the declared records are ignored, matching the
   /// stream decoder.
-  static HourlyFlows decode(std::string_view blob);
-  /// Columnar decode: same validation and error surface as decode(), but
-  /// fills FlowBatch columns straight from the block buffer so records
-  /// never materialize as AoS structs on the read path.
   static FlowBatch decode_columns(std::string_view blob);
+  /// The store's read path for a raw hour: decode_columns() over the
+  /// file's bytes, with the clamp taken from the file's size and the
+  /// records read through one 100 KiB buffer straight into the sized
+  /// columns, so the hour is never held whole in memory. Same checks, in
+  /// the same order, with the same util::IoError messages.
+  static FlowBatch read_columns(const std::filesystem::path& path);
+  /// Row form of decode_columns(): same validation and error surface.
+  static HourlyFlows decode(std::string_view blob);
 
   static void write(std::ostream& os, const HourlyFlows& flows);
   static HourlyFlows read(std::istream& is);
@@ -119,6 +128,7 @@ class FlowTupleCodec {
 
   static void write_file(const std::filesystem::path& path,
                          const HourlyFlows& flows);
+  /// Row form of read_columns().
   static HourlyFlows read_file(const std::filesystem::path& path);
 
   /// Canonical file name for an interval, e.g. "flowtuple-0042.ift".

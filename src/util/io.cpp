@@ -82,11 +82,30 @@ std::string read_string(std::istream& is, std::uint32_t max_len) {
   return s;
 }
 
+FileReader::FileReader(const std::filesystem::path& path)
+    : path_(path), in_(path, std::ios::binary) {
+  if (!in_) throw IoError("cannot open file: " + path.string());
+  std::error_code ec;
+  size_ = std::filesystem::file_size(path, ec);
+  if (ec) throw IoError("cannot size file: " + path.string());
+}
+
+std::size_t FileReader::read_some(void* out, std::size_t n) {
+  return static_cast<std::size_t>(in_.rdbuf()->sgetn(
+      static_cast<char*>(out), static_cast<std::streamsize>(n)));
+}
+
+void FileReader::read_exact(void* out, std::size_t n) {
+  if (read_some(out, n) != n) throw IoError("short read: " + path_.string());
+}
+
 std::string read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open file: " + path.string());
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  // Sized once from the file system, filled by one read: a file that
+  // yields fewer bytes than its size (truncated underneath us) or has no
+  // size (a directory) is an error, not a silently shorter string.
+  FileReader file(path);
+  std::string data(static_cast<std::size_t>(file.size()), '\0');
+  file.read_exact(data.data(), data.size());
   return data;
 }
 

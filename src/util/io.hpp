@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -74,7 +75,7 @@ inline void store_le64(unsigned char* b, std::uint64_t v) noexcept {
 
 /// Bounds-checked little-endian cursor over an in-memory byte buffer —
 /// the block-decode counterpart of the read_* stream primitives below.
-/// Codecs slurp a file once (read_file) and decode with plain pointer
+/// Codecs map or read a file once and decode with plain pointer
 /// arithmetic instead of one virtual istream read per field. Overrunning
 /// the buffer throws IoError, mirroring the stream primitives' EOF
 /// behaviour ("unexpected end of stream").
@@ -162,7 +163,32 @@ void write_string(std::ostream& os, const std::string& s);
 /// Reads a length-prefixed string; enforces the given sanity cap.
 std::string read_string(std::istream& is, std::uint32_t max_len = 1 << 20);
 
-/// Reads an entire file into a string; throws IoError if unreadable.
+/// Sequential reader over one regular file whose size is taken at open:
+/// the read path for decoders that fill their output straight from the
+/// file through a caller-owned buffer, chunk by chunk.
+class FileReader {
+ public:
+  /// Opens the file and takes its size; throws IoError if it cannot be
+  /// opened or sized (a directory opens on Linux but has no size).
+  explicit FileReader(const std::filesystem::path& path);
+
+  std::uint64_t size() const noexcept { return size_; }
+
+  /// Reads up to n bytes into out; fewer only where the file ends.
+  std::size_t read_some(void* out, std::size_t n);
+  /// Reads exactly n bytes into out; throws IoError if the file ends
+  /// first (it shrank underneath the reader).
+  void read_exact(void* out, std::size_t n);
+
+ private:
+  std::filesystem::path path_;
+  std::ifstream in_;
+  std::uint64_t size_ = 0;
+};
+
+/// Reads an entire regular file into a string sized once from the file's
+/// size, in one read; throws IoError if it cannot be opened or sized, or
+/// yields fewer bytes than its size.
 std::string read_file(const std::filesystem::path& path);
 
 /// Writes a string to a file atomically-ish (write then rename not needed

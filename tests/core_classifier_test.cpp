@@ -20,10 +20,16 @@ net::FlowTuple icmp_flow(net::IcmpType type) {
   return t;
 }
 
+// gtest names each case by a byte dump of its parameter, padding included.
+// The padding is an explicit zeroed member so that the names are the same
+// on every run instead of showing whatever was left on the stack.
 struct TcpCase {
+  TcpCase(std::uint8_t f, FlowClass e) : flags(f), expected(e) {}
   std::uint8_t flags;
+  std::uint8_t pad[3]{};
   FlowClass expected;
 };
+static_assert(sizeof(TcpCase) == 8, "TcpCase must have no hidden padding");
 
 class TcpTaxonomyTest : public ::testing::TestWithParam<TcpCase> {};
 
@@ -56,10 +62,14 @@ TEST(Taxonomy, UdpAlwaysUdp) {
   EXPECT_EQ(classify(t), FlowClass::Udp);
 }
 
+// Zeroed explicit padding for stable case names, as for TcpCase.
 struct IcmpCase {
+  IcmpCase(net::IcmpType t, FlowClass e) : type(t), expected(e) {}
   net::IcmpType type;
+  std::uint8_t pad[3]{};
   FlowClass expected;
 };
+static_assert(sizeof(IcmpCase) == 8, "IcmpCase must have no hidden padding");
 
 class IcmpTaxonomyTest : public ::testing::TestWithParam<IcmpCase> {};
 

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -475,6 +477,132 @@ TEST(StreamQuarantineTest, TornCompressedHourQuarantines) {
   EXPECT_EQ(study.watermark(), 4);
   const core::Report report = study.finalize();
   EXPECT_EQ(report.total_packets + report.unattributed_packets, 3u * 3u);
+}
+
+// ------------------------------------- hostile raw hours through the store
+
+// The codec's own tests feed hostile bytes from memory; these publish
+// them as a store's ".ift" hour, so the file read path (down to a
+// zero-byte file) is what rejects them. Every
+// raw consumer must surface the codec's util::IoError unchanged, and the
+// streaming study must quarantine the hour and keep ingesting.
+
+struct HostileRawHour {
+  std::string name;
+  std::string bytes;
+  std::string message;
+};
+
+/// Hour 1 of the hostile-hour stores: three records, so that its last
+/// record starts past the header and a count can overstate the file.
+std::string intact_raw_hour() {
+  net::HourlyFlows flows = make_hour(1);
+  flows.records.push_back(flows.records.back());
+  flows.records.back().protocol = net::Protocol::Udp;
+  flows.records.push_back(flows.records.back());
+  flows.records.back().protocol = net::Protocol::Icmp;
+  std::string blob;
+  net::FlowTupleCodec::encode(blob, flows);
+  return blob;
+}
+
+std::vector<HostileRawHour> hostile_raw_hours() {
+  constexpr std::size_t kCountOffset = 18;
+  constexpr std::size_t kHeaderBytes = 26;
+  const std::string intact = intact_raw_hour();
+  std::vector<HostileRawHour> out;
+  for (std::size_t len = 0; len < intact.size(); ++len) {
+    out.push_back({"prefix of " + std::to_string(len) + " bytes",
+                   intact.substr(0, len), "unexpected end of stream"});
+  }
+  const auto with_count = [&](std::uint64_t count) {
+    std::string bytes = intact;
+    util::store_le64(reinterpret_cast<unsigned char*>(&bytes[kCountOffset]),
+                     count);
+    return bytes;
+  };
+  out.push_back({"count one past the records", with_count(4),
+                 "unexpected end of stream"});
+  out.push_back({"count at the 2^30 cap", with_count(1ULL << 30),
+                 "unexpected end of stream"});
+  out.push_back({"count past the 2^30 cap", with_count((1ULL << 30) + 1),
+                 "flowtuple file: implausible record count"});
+  std::string bad_proto = intact;
+  bad_proto[kHeaderBytes + 2 * net::FlowTupleCodec::kRecordBytes + 12] = 2;
+  out.push_back({"unknown protocol in the last record", bad_proto,
+                 "flowtuple file: unknown protocol value"});
+  return out;
+}
+
+template <typename Read>
+void expect_io_error(const Read& read, const HostileRawHour& hour,
+                     const char* path) {
+  try {
+    read();
+    ADD_FAILURE() << path << " accepted the " << hour.name;
+  } catch (const util::IoError& error) {
+    EXPECT_EQ(std::string(error.what()), hour.message)
+        << path << ", " << hour.name;
+  }
+}
+
+TEST(HostileRawHourTest, IntactHourDecodesUntagged) {
+  util::TempDir dir;
+  telescope::FlowTupleStore store(dir.path());
+  store.put_hostile(1, intact_raw_hour(), telescope::StoreFormat::Raw);
+  const auto batch = store.get_batch(1);
+  ASSERT_TRUE(batch.has_value());
+  EXPECT_EQ(batch->size(), 3u);
+  EXPECT_TRUE(batch->class_tag.empty());
+  EXPECT_EQ(batch->tag_recipe, 0u);
+  const auto loaders = store.hour_loaders(1, 4);
+  ASSERT_EQ(loaders.size(), 1u);
+  const net::FlowBatch part = loaders[0]();
+  EXPECT_TRUE(part.same_records(*batch));
+  EXPECT_TRUE(part.class_tag.empty());
+  EXPECT_EQ(part.tag_recipe, 0u);
+}
+
+TEST(HostileRawHourTest, EveryRawReadPathRejectsTheHour) {
+  for (const HostileRawHour& hour : hostile_raw_hours()) {
+    util::TempDir dir;
+    telescope::FlowTupleStore store(dir.path());
+    store.put_hostile(1, hour.bytes, telescope::StoreFormat::Raw);
+    expect_io_error([&] { store.get_batch(1); }, hour, "get_batch");
+    expect_io_error([&] { store.get(1); }, hour, "get");
+    const auto loaders = store.hour_loaders(1, 4);
+    ASSERT_EQ(loaders.size(), 1u) << hour.name;
+    expect_io_error(loaders[0], hour, "hour_loaders");
+    expect_io_error([&] { store.compact(); }, hour, "compact");
+    EXPECT_TRUE(std::filesystem::exists(
+        dir.path() / net::FlowTupleCodec::file_name(1)))
+        << "compact must leave a rejected original in place, " << hour.name;
+  }
+}
+
+TEST(HostileRawHourTest, StreamingStudyQuarantinesTheHour) {
+  auto& corrupt = obs::Registry::instance().counter("stream.corrupt_hours");
+  for (const HostileRawHour& hour : hostile_raw_hours()) {
+    util::TempDir dir;
+    telescope::FlowTupleStore store(dir.path());
+    for (const int h : {0, 2, 3}) store.put(make_hour(h));
+    store.put_hostile(1, hour.bytes, telescope::StoreFormat::Raw);
+
+    inventory::IoTDeviceDatabase db;
+    core::PipelineOptions popts;
+    popts.threads = 1;
+    popts.unknown_profile_hourly_floor = 1;
+    core::StreamingStudy study(db, store, popts);
+    const std::uint64_t corrupt_before = corrupt.value();
+    study.follow([] { return true; });
+
+    EXPECT_EQ(corrupt.value() - corrupt_before, 1u) << hour.name;
+    EXPECT_EQ(study.stats().hours_corrupt, 1u) << hour.name;
+    EXPECT_EQ(study.watermark(), 4) << hour.name;
+    const core::Report report = study.finalize();
+    EXPECT_EQ(report.total_packets + report.unattributed_packets, 3u * 3u)
+        << hour.name;
+  }
 }
 
 }  // namespace

@@ -395,6 +395,53 @@ TEST(FlowTupleCodec, DecodeColumnsRejectsCorruptHeadersAndProtocols) {
   }
 }
 
+TEST(FlowTupleCodec, ReadColumnsMatchesDecodeColumnsAcrossChunks) {
+  // 10,000 records span two full 4,096-record read chunks and a partial
+  // third; the file path must fill every column exactly as the in-memory
+  // decoder does.
+  util::TempDir dir;
+  util::Rng rng(31);
+  HourlyFlows flows;
+  flows.interval = 7;
+  flows.start_time = 1491955200;
+  for (int i = 0; i < 10000; ++i) flows.records.push_back(random_tuple(rng));
+  std::string blob;
+  FlowTupleCodec::encode(blob, flows);
+  const auto path = dir.path() / FlowTupleCodec::file_name(flows.interval);
+  util::write_file(path, blob);
+
+  const FlowBatch from_file = FlowTupleCodec::read_columns(path);
+  const FlowBatch from_blob = FlowTupleCodec::decode_columns(blob);
+  EXPECT_EQ(from_file.interval, flows.interval);
+  EXPECT_EQ(from_file.start_time, flows.start_time);
+  EXPECT_TRUE(from_file.same_records(from_blob));
+  EXPECT_TRUE(from_file.class_tag.empty());
+  EXPECT_EQ(from_file.tag_recipe, 0u);
+
+  // A protocol error in the last chunk and a truncation inside it carry
+  // the in-memory decoder's messages.
+  const auto expect_same_error = [&](const std::string& bytes) {
+    util::write_file(path, bytes);
+    std::string from_memory;
+    try {
+      FlowTupleCodec::decode_columns(bytes);
+    } catch (const util::IoError& e) {
+      from_memory = e.what();
+    }
+    ASSERT_FALSE(from_memory.empty());
+    try {
+      FlowTupleCodec::read_columns(path);
+      ADD_FAILURE() << "read_columns accepted: " << from_memory;
+    } catch (const util::IoError& e) {
+      EXPECT_EQ(std::string(e.what()), from_memory);
+    }
+  };
+  std::string bad_proto = blob;
+  bad_proto[26 + 9000 * FlowTupleCodec::kRecordBytes + 12] = 2;
+  expect_same_error(bad_proto);
+  expect_same_error(blob.substr(0, blob.size() - 1));
+}
+
 TEST(FlowTupleCodec, FileRoundTripAndName) {
   util::TempDir dir;
   HourlyFlows flows;

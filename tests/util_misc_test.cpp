@@ -179,6 +179,27 @@ TEST(Io, FileRoundTripAndMissingFile) {
   write_file(path, std::string("a\0b", 3));
   EXPECT_EQ(read_file(path).size(), 3u);
   EXPECT_THROW(read_file(dir.path() / "absent"), IoError);
+  write_file(path, "");
+  EXPECT_EQ(read_file(path), "");
+  // A directory opens on Linux but has no file size to read.
+  EXPECT_THROW(read_file(dir.path()), IoError);
+}
+
+TEST(Io, FileReaderReadsSequentiallyAndReportsShortReads) {
+  TempDir dir;
+  const auto path = dir.path() / "f.bin";
+  write_file(path, "abcdefgh");
+  FileReader file(path);
+  EXPECT_EQ(file.size(), 8u);
+  char buf[8] = {};
+  file.read_exact(buf, 3);
+  EXPECT_EQ(std::string(buf, 3), "abc");
+  EXPECT_EQ(file.read_some(buf, sizeof buf), 5u);  // only to the end
+  EXPECT_EQ(std::string(buf, 5), "defgh");
+  EXPECT_EQ(file.read_some(buf, sizeof buf), 0u);
+  EXPECT_THROW(file.read_exact(buf, 1), IoError);
+  EXPECT_THROW(FileReader(dir.path() / "absent"), IoError);
+  EXPECT_THROW(FileReader(dir.path()), IoError);
 }
 
 TEST(Io, TempDirCreatesAndCleansUp) {
