@@ -51,6 +51,26 @@ void merge_traffic(DeviceTraffic& into, const DeviceTraffic& from) {
   into.days_active_mask |= from.days_active_mask;
 }
 
+/// The same merge for two partials of one unknown source (a hot profile
+/// and the frozen ones evicted from it): summed tallies, min first / max
+/// last interval.
+void merge_profile(UnknownSourceProfile& into,
+                   const UnknownSourceProfile& from) {
+  into.packets += from.packets;
+  into.tcp_syn_packets += from.tcp_syn_packets;
+  into.iot_port_packets += from.iot_port_packets;
+  if (from.first_interval >= 0 &&
+      (into.first_interval < 0 || from.first_interval < into.first_interval)) {
+    into.first_interval = from.first_interval;
+  }
+  if (from.last_interval > into.last_interval) {
+    into.last_interval = from.last_interval;
+  }
+}
+
+/// merged_position_ value of a device without a merged ledger.
+constexpr std::uint32_t kNotMerged = ~0u;
+
 // ---------------------------------------------------------------------
 // Record access policies for the shard walk. The shard loop is written
 // once against this accessor surface; which memory it reads — and when
@@ -155,7 +175,11 @@ struct RowsView {
 /// bump, so steady-state observe() performs zero heap allocations per
 /// record. Cross-hour per-device maps (the victim series) stay
 /// node-based — they are keyed per device, not per record, and
-/// finalize() merges them by element-wise addition.
+/// consolidate() merges them by element-wise addition.
+///
+/// A lane holds only what it accumulated since the last consolidate(),
+/// which folds it into the merged state and clears it: the lanes are the
+/// set of what changed since the previous snapshot.
 struct AnalysisPipeline::ShardState {
   /// Sentinel for "no record seen yet" — larger than any real
   /// ((observe sequence << 32) | record index) stream position.
@@ -166,7 +190,7 @@ struct AnalysisPipeline::ShardState {
   /// records THIS state processed, with the class and packet count of
   /// that minimum record. Min-tracked per record (not set at creation)
   /// because a stealing worker can walk a device's records out of index
-  /// order; finalize() takes the min across states to rebuild the
+  /// order; consolidate() takes the min across states to rebuild the
   /// sequential discovery order.
   struct LedgerSlot {
     DeviceTraffic traffic;
@@ -191,9 +215,9 @@ struct AnalysisPipeline::ShardState {
 
   // ---- UDP per-port totals and distinct-device tracking ----
   // Distinct (port, device) membership lives in the pair set; the
-  // per-port device counts are recomputed at finalize() from the union
-  // of the states' pair sets (a per-state insert-gated increment would
-  // double-count devices split across stealing partials).
+  // per-port device counts grow in consolidate() with each pair the
+  // merged set did not hold yet (a per-state insert-gated increment would
+  // double-count devices split across stealing partials or epochs).
   std::array<std::uint64_t, 65536> udp_port_packets{};
   std::array<std::uint32_t, 65536> udp_port_devices{};
   util::FlatSet<std::uint64_t> udp_port_device_pairs;
@@ -244,6 +268,31 @@ struct AnalysisPipeline::ShardState {
     hour_scanners.clear();
     unknown_hour.clear();
     hour_new_devices.clear();
+  }
+
+  /// Drops every cumulative partial once consolidate() has folded it.
+  /// The flat tables keep their capacity, so refilling them allocates
+  /// nothing up to the previous epoch's high-water mark.
+  void clear_partials() {
+    ledger_index.clear();
+    ledgers.clear();
+    total_packets = 0;
+    unattributed_packets = 0;
+    tcp_packets = {};
+    udp_packets = {};
+    icmp_packets = {};
+    udp_packet_series = {};
+    scan_packet_series = {};
+    backscatter_series = {};
+    udp_port_packets.fill(0);
+    udp_port_device_pairs.clear();
+    udp_ports_seen.reset();
+    std::fill(service_packets.begin(), service_packets.end(), 0);
+    std::fill(service_consumer_packets.begin(), service_consumer_packets.end(),
+              0);
+    service_device_pairs.clear();
+    for (auto& series : service_series) series = {};
+    victim_series.clear();
   }
 
   LedgerSlot& ledger_for(std::uint32_t device) {
@@ -447,6 +496,7 @@ AnalysisPipeline::Obs::Obs()
       shard(obs::Registry::instance().stage("pipeline.observe.shard")),
       fanin(obs::Registry::instance().stage("pipeline.fanin")),
       finalize(obs::Registry::instance().stage("pipeline.finalize")),
+      snapshot(obs::Registry::instance().stage("pipeline.snapshot")),
       merge(obs::Registry::instance().stage("pipeline.merge")),
       hours(obs::Registry::instance().counter("pipeline.hours")),
       records(obs::Registry::instance().counter("pipeline.records")),
@@ -475,6 +525,7 @@ AnalysisPipeline::AnalysisPipeline(const inventory::IoTDeviceDatabase& db,
   }
   other_service_ = workload::scan_service_index("Other");
   report_.scan_service_series.resize(services.size());
+  merged_ = std::make_unique<ShardState>(services.size());
 
   const unsigned threads = util::ThreadPool::resolve(options_.threads);
   shards_.reserve(threads);
@@ -875,8 +926,7 @@ void AnalysisPipeline::fan_in_hour(const int h,
       // Destinations are not partitioned by the shard key — union.
       // Reserve the union bound up front: for_each feeds keys in hash
       // order, and a destination smaller than its sources probes
-      // quadratically on such a stream (see build_report's pair-set
-      // merge).
+      // quadratically on such a stream (see util::FlatSet::insert_all).
       std::bitset<65536> udp_port_union, scan_port_union;
       std::size_t udp_bound = 0, scan_bound = 0;
       for (const auto& shard : shards_) {
@@ -993,22 +1043,29 @@ void AnalysisPipeline::fan_in_hour(const int h,
 
 Report AnalysisPipeline::finalize() {
   drain();
-  if (finalized_) return report_;
-  report_ = build_report();
-  finalized_ = true;
+  if (!finalized_) {
+    obs::ScopedTimer finalize_timer(obs_.finalize);
+    consolidate();
+    complete(report_);
+    finalized_ = true;
+  }
   return report_;
 }
 
-Report AnalysisPipeline::snapshot() const {
+Report AnalysisPipeline::snapshot() {
   // Off-lane callers must see every submitted hour folded (and a failed
   // pipeline rethrow, not report partial state). From inside a fan-in
   // hook the drain is skipped: the fence chain already guarantees hours
   // up to the hook's are folded, and no later observe task is running.
-  if (graph_ && !graph_->on_lane()) graph_->wait_idle();
+  drain();
   // After finalize() the stored report already holds the completed
-  // reduction; rebuilding from it would double-count.
+  // statistics; completing it again would double-count.
   if (finalized_) return report_;
-  return build_report();
+  obs::ScopedTimer snapshot_timer(obs_.snapshot);
+  consolidate();
+  Report report = report_;
+  complete(report);
+  return report;
 }
 
 std::size_t AnalysisPipeline::evict_idle_unknown_profiles(int before_interval) {
@@ -1025,202 +1082,238 @@ std::size_t AnalysisPipeline::evict_idle_unknown_profiles(int before_interval) {
   return evicted;
 }
 
-Report AnalysisPipeline::build_report() const {
-  obs::ScopedTimer finalize_timer(obs_.finalize);
+void AnalysisPipeline::consolidate() {
+  obs::ScopedTimer merge_timer(obs_.merge);
+  ShardState& merged = *merged_;
+  const auto& inventory = db_->devices();
 
-  // Everything below reads the accumulated state and writes only into
-  // this copy (the incrementally-maintained series and tallies are
-  // already in report_), so repeated snapshots stay independent.
-  Report report = report_;
-
-  // ---- deterministic reduction: merge worker state in fixed order ----
-  // Every operation below is commutative-exact (integral sums, min/max,
-  // OR, set unions), so the result does not depend on which worker
-  // processed which morsel — only the fixed state order and the total
-  // sort keys decide the bytes.
-  auto merged = std::make_unique<ShardState>(workload::scan_services().size());
-  {
-    obs::ScopedTimer merge_timer(obs_.merge);
-
-    // Device ledgers: the same device can hold a ledger in several
-    // states under stealing — fold them per device (min first sighting,
-    // summed counters, OR'd day mask), then rebuild the sequential
-    // discovery order by sorting on the min stream position of each
-    // device's first sighting (one record names one source, so the keys
-    // are unique).
-    std::size_t slot_total = 0;
-    for (const auto& shard : shards_) slot_total += shard->ledgers.size();
-    std::vector<ShardState::LedgerSlot> ledgers;
-    ledgers.reserve(slot_total);
-    util::FlatMap<std::uint32_t, std::uint32_t> device_slot;
-    device_slot.reserve(slot_total);
-    for (const auto& shard : shards_) {
-      for (const auto& slot : shard->ledgers) {
-        if (const std::uint32_t* existing =
-                device_slot.find(slot.traffic.device)) {
-          ShardState::LedgerSlot& into = ledgers[*existing];
-          if (slot.first_seen < into.first_seen) {
-            into.first_seen = slot.first_seen;
-            into.first_cls = slot.first_cls;
-            into.first_n = slot.first_n;
+  // ---- device ledgers ----
+  // A device with a merged ledger folds into it in place (summed
+  // counters, min/max intervals, OR'd day mask). The rest were first
+  // seen since the previous consolidation: fold them across lanes (under
+  // stealing one device can hold a ledger in several), then append them
+  // by the min stream position of their first sighting. Positions
+  // ((observe_seq << 32) | record index) only grow from one
+  // consolidation to the next — hours fold in submission order, also
+  // under the Graph scheduler, before any hook can snapshot — so the
+  // appended tail sorts after every merged device and report_.devices
+  // stays in sequential first-sighting order.
+  if (merged_position_.empty()) {
+    merged_position_.assign(inventory.size(), kNotMerged);
+  }
+  std::vector<ShardState::LedgerSlot> fresh;
+  util::FlatMap<std::uint32_t, std::uint32_t> fresh_slot;
+  for (const auto& shard : shards_) {
+    const auto& ledgers = shard->ledgers;
+    for (std::size_t i = 0; i < ledgers.size(); ++i) {
+      // Most ledgers update a merged row at a random position: prefetch
+      // the position of ledger i + 8 and the row of ledger i + 4, whose
+      // position that earlier prefetch brought into cache.
+      if (i + 8 < ledgers.size()) {
+        __builtin_prefetch(&merged_position_[ledgers[i + 8].traffic.device]);
+      }
+      if (i + 4 < ledgers.size()) {
+        const std::uint32_t ahead =
+            merged_position_[ledgers[i + 4].traffic.device];
+        if (ahead != kNotMerged) {
+          const char* row =
+              reinterpret_cast<const char*>(&report_.devices[ahead]);
+          for (std::size_t line = 0; line < sizeof(DeviceTraffic); line += 64) {
+            __builtin_prefetch(row + line);
           }
-          merge_traffic(into.traffic, slot.traffic);
-        } else {
-          device_slot.insert(slot.traffic.device,
-                             static_cast<std::uint32_t>(ledgers.size()));
-          ledgers.push_back(slot);
         }
       }
-    }
-    std::vector<std::uint32_t> order(ledgers.size());
-    for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&ledgers](std::uint32_t a, std::uint32_t b) {
-                return ledgers[a].first_seen < ledgers[b].first_seen;
-              });
-    report.devices.reserve(order.size());
-    report.device_index.reserve(order.size());
-    for (const std::uint32_t i : order) {
-      const DeviceTraffic& traffic = ledgers[i].traffic;
-      const auto index = static_cast<std::uint32_t>(report.devices.size());
-      report.devices.push_back(traffic);
-      report.device_index.emplace(traffic.device, index);
-      if (db_->devices()[traffic.device].is_consumer()) {
-        ++report.discovered_consumer;
+      const ShardState::LedgerSlot& slot = ledgers[i];
+      const std::uint32_t device = slot.traffic.device;
+      if (const std::uint32_t position = merged_position_[device];
+          position != kNotMerged) {
+        merge_traffic(report_.devices[position], slot.traffic);
+      } else if (const std::uint32_t* existing = fresh_slot.find(device)) {
+        ShardState::LedgerSlot& into = fresh[*existing];
+        if (slot.first_seen < into.first_seen) {
+          into.first_seen = slot.first_seen;
+          into.first_cls = slot.first_cls;
+          into.first_n = slot.first_n;
+        }
+        merge_traffic(into.traffic, slot.traffic);
       } else {
-        ++report.discovered_cps;
+        fresh_slot.insert(device, static_cast<std::uint32_t>(fresh.size()));
+        fresh.push_back(slot);
       }
     }
+  }
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> order;
+  order.reserve(fresh.size());
+  for (std::uint32_t i = 0; i < fresh.size(); ++i) {
+    order.emplace_back(fresh[i].first_seen, i);
+  }
+  std::sort(order.begin(), order.end());
+  for (const auto& [first_seen, i] : order) {
+    const ShardState::LedgerSlot& slot = fresh[i];
+    const std::uint32_t device = slot.traffic.device;
+    const auto position = static_cast<std::uint32_t>(report_.devices.size());
+    merged_position_[device] = position;
+    report_.devices.push_back(slot.traffic);
+    report_.device_index.emplace(device, position);
+    merged_consumer_.push_back(inventory[device].is_consumer() ? 1 : 0);
+  }
 
-    // Additive tallies and series fold into one merged accumulator;
-    // distinct-device counts are recomputed from the union of the
-    // states' (key, device) pair sets.
-    //
-    // The pair sets must be pre-sized to the union's upper bound:
-    // for_each visits a FlatSet in slot (= hash) order, and feeding a
-    // large hash-ordered stream into a smaller table with the same hash
-    // function packs every key into one low-index probe cluster —
-    // the union degenerates to quadratic probing (hours of CPU at
-    // 10^8-record scale). A destination at least as large as the source
-    // keeps the monotone arrivals at their home slots.
-    std::size_t udp_pair_bound = 0, service_pair_bound = 0;
-    for (const auto& shard : shards_) {
-      udp_pair_bound += shard->udp_port_device_pairs.size();
-      service_pair_bound += shard->service_device_pairs.size();
+  // ---- additive tallies, series and distinct-device pair sets ----
+  // Distinct-device counts grow with each pair the merged sets did not
+  // hold yet, so a device split across lanes or epochs counts once.
+  for (const auto& shard : shards_) {
+    merged.total_packets += shard->total_packets;
+    merged.unattributed_packets += shard->unattributed_packets;
+    for (const bool consumer : {true, false}) {
+      merged.tcp_packets.of(consumer) += shard->tcp_packets.of(consumer);
+      merged.udp_packets.of(consumer) += shard->udp_packets.of(consumer);
+      merged.icmp_packets.of(consumer) += shard->icmp_packets.of(consumer);
+      add_series(merged.udp_packet_series.of(consumer),
+                 shard->udp_packet_series.of(consumer));
+      add_series(merged.scan_packet_series.of(consumer),
+                 shard->scan_packet_series.of(consumer));
+      add_series(merged.backscatter_series.of(consumer),
+                 shard->backscatter_series.of(consumer));
     }
-    merged->udp_port_device_pairs.reserve(udp_pair_bound);
-    merged->service_device_pairs.reserve(service_pair_bound);
-    for (const auto& shard : shards_) {
-      merged->total_packets += shard->total_packets;
-      merged->unattributed_packets += shard->unattributed_packets;
-      for (const bool consumer : {true, false}) {
-        merged->tcp_packets.of(consumer) += shard->tcp_packets.of(consumer);
-        merged->udp_packets.of(consumer) += shard->udp_packets.of(consumer);
-        merged->icmp_packets.of(consumer) += shard->icmp_packets.of(consumer);
-        add_series(merged->udp_packet_series.of(consumer),
-                   shard->udp_packet_series.of(consumer));
-        add_series(merged->scan_packet_series.of(consumer),
-                   shard->scan_packet_series.of(consumer));
-        add_series(merged->backscatter_series.of(consumer),
-                   shard->backscatter_series.of(consumer));
-      }
-      for (std::uint32_t port = 0; port < 65536; ++port) {
-        merged->udp_port_packets[port] += shard->udp_port_packets[port];
-      }
-      merged->udp_ports_seen |= shard->udp_ports_seen;
-      shard->udp_port_device_pairs.for_each([&](std::uint64_t pair) {
-        if (merged->udp_port_device_pairs.insert(pair)) {
-          ++merged->udp_port_devices[static_cast<std::size_t>(pair >> 32)];
-        }
-      });
-      for (std::size_t s = 0; s < merged->service_packets.size(); ++s) {
-        merged->service_packets[s] += shard->service_packets[s];
-        merged->service_consumer_packets[s] +=
-            shard->service_consumer_packets[s];
-        add_series(merged->service_series[s], shard->service_series[s]);
-      }
-      shard->service_device_pairs.for_each([&](std::uint64_t pair) {
-        if (merged->service_device_pairs.insert(pair)) {
+    for (std::uint32_t port = 0; port < 65536; ++port) {
+      merged.udp_port_packets[port] += shard->udp_port_packets[port];
+    }
+    merged.udp_ports_seen |= shard->udp_ports_seen;
+    merged.udp_port_device_pairs.insert_all(
+        shard->udp_port_device_pairs, [&](std::uint64_t pair) {
+          ++merged.udp_port_devices[static_cast<std::size_t>(pair >> 32)];
+        });
+    for (std::size_t s = 0; s < merged.service_packets.size(); ++s) {
+      merged.service_packets[s] += shard->service_packets[s];
+      merged.service_consumer_packets[s] += shard->service_consumer_packets[s];
+      add_series(merged.service_series[s], shard->service_series[s]);
+    }
+    merged.service_device_pairs.insert_all(
+        shard->service_device_pairs, [&](std::uint64_t pair) {
           const auto s = static_cast<std::size_t>(pair >> 32);
           const auto device = static_cast<std::uint32_t>(pair & 0xffffffffu);
-          if (db_->devices()[device].is_consumer()) {
-            ++merged->service_consumer_devices[s];
+          if (inventory[device].is_consumer()) {
+            ++merged.service_consumer_devices[s];
           } else {
-            ++merged->service_cps_devices[s];
+            ++merged.service_cps_devices[s];
           }
-        }
-      });
-      // Victim series add element-wise: per-hour sums are order-exact,
-      // and under stealing one victim can appear in several states.
-      for (const auto& [device, series] : shard->victim_series) {
-        auto [it, inserted] = merged->victim_series.try_emplace(device);
-        if (inserted) it->second.assign(kHours, 0.0);
-        for (int hh = 0; hh < kHours; ++hh) {
-          it->second[static_cast<std::size_t>(hh)] +=
-              series[static_cast<std::size_t>(hh)];
-        }
+        });
+    // Victim series add element-wise: per-hour sums are order-exact,
+    // and under stealing one victim can appear in several states.
+    for (const auto& [device, series] : shard->victim_series) {
+      auto [it, inserted] = merged.victim_series.try_emplace(device);
+      if (inserted) it->second.assign(kHours, 0.0);
+      for (int hh = 0; hh < kHours; ++hh) {
+        it->second[static_cast<std::size_t>(hh)] +=
+            series[static_cast<std::size_t>(hh)];
       }
     }
-  }
-  report.total_packets = merged->total_packets;
-  report.unattributed_packets = merged->unattributed_packets;
-  for (const bool consumer : {true, false}) {
-    report.tcp_packets.of(consumer) = merged->tcp_packets.of(consumer);
-    report.udp_packets.of(consumer) = merged->udp_packets.of(consumer);
-    report.icmp_packets.of(consumer) = merged->icmp_packets.of(consumer);
-    report.udp_series.of(consumer).packets =
-        merged->udp_packet_series.of(consumer);
-    report.scan_series.of(consumer).packets =
-        merged->scan_packet_series.of(consumer);
-    report.backscatter_series.of(consumer) =
-        merged->backscatter_series.of(consumer);
+    shard->clear_partials();
   }
 
-  // ---- discovery curve (Fig 2) and daily activity ----
-  for (const auto& ledger : report.devices) {
-    const bool consumer = db_->devices()[ledger.device].is_consumer();
-    const int first_day =
-        util::AnalysisWindow::day_of_interval(std::max(0, ledger.first_interval));
-    for (int d = first_day; d < 6; ++d) {
-      (consumer ? report.cumulative_by_day_consumer
-                : report.cumulative_by_day_cps)[static_cast<std::size_t>(d)]++;
-    }
-    for (int d = 0; d < 6; ++d) {
-      if (ledger.days_active_mask & (1u << d)) {
-        (consumer ? report.active_by_day_consumer
-                  : report.active_by_day_cps)[static_cast<std::size_t>(d)]++;
+  // ---- frozen unknown-source partials ----
+  for (const auto& profile : frozen_unknown_) {
+    UnknownSourceProfile& into = frozen_folded_[profile.ip.value()];
+    into.ip = profile.ip;
+    merge_profile(into, profile);
+  }
+  frozen_unknown_.clear();
+}
+
+void AnalysisPipeline::complete(Report& report) const {
+  const ShardState& merged = *merged_;
+  report.total_packets = merged.total_packets;
+  report.unattributed_packets = merged.unattributed_packets;
+  for (const bool consumer : {true, false}) {
+    report.tcp_packets.of(consumer) = merged.tcp_packets.of(consumer);
+    report.udp_packets.of(consumer) = merged.udp_packets.of(consumer);
+    report.icmp_packets.of(consumer) = merged.icmp_packets.of(consumer);
+    report.udp_series.of(consumer).packets =
+        merged.udp_packet_series.of(consumer);
+    report.scan_series.of(consumer).packets =
+        merged.scan_packet_series.of(consumer);
+    report.backscatter_series.of(consumer) =
+        merged.backscatter_series.of(consumer);
+  }
+
+  // ---- per-device counts, in one pass over the merged ledgers ----
+  // Tallied per realm (0 = consumer, 1 = CPS) into locals, branch-free:
+  // 26k devices with mixed realms and classes mispredict every branch.
+  {
+    constexpr int kDays = util::AnalysisWindow::kDays;
+    std::size_t discovered[2] = {}, udp_devices[2] = {}, victims[2] = {},
+                scanners[2] = {}, icmp_scanners[2] = {};
+    std::uint64_t backscatter[2] = {}, icmp_scan[2] = {}, tcp_scan = 0;
+    std::array<std::size_t, kDays> first_day[2] = {}, active[2] = {};
+    for (std::size_t i = 0; i < report.devices.size(); ++i) {
+      const DeviceTraffic& ledger = report.devices[i];
+      const int r = merged_consumer_[i] != 0 ? 0 : 1;
+      ++discovered[r];
+      ++first_day[r][static_cast<std::size_t>(
+          util::AnalysisWindow::day_of_interval(ledger.first_interval))];
+      for (int d = 0; d < kDays; ++d) {
+        active[r][static_cast<std::size_t>(d)] +=
+            (ledger.days_active_mask >> d) & 1u;
       }
+      udp_devices[r] += ledger.udp > 0;
+      const std::uint64_t bs = ledger.backscatter();
+      victims[r] += bs > 0;
+      backscatter[r] += bs;
+      scanners[r] += ledger.tcp_scan > 0;
+      tcp_scan += ledger.tcp_scan;
+      icmp_scanners[r] += ledger.icmp_scan > 0;
+      icmp_scan[r] += ledger.icmp_scan;
     }
+    report.discovered_consumer = discovered[0];
+    report.discovered_cps = discovered[1];
+    // Discovery curve (Fig 2): devices first seen on or before each day.
+    std::size_t seen[2] = {};
+    for (std::size_t d = 0; d < kDays; ++d) {
+      report.cumulative_by_day_consumer[d] = seen[0] += first_day[0][d];
+      report.cumulative_by_day_cps[d] = seen[1] += first_day[1][d];
+    }
+    report.active_by_day_consumer = active[0];
+    report.active_by_day_cps = active[1];
+    report.udp_device_count = udp_devices[0] + udp_devices[1];
+    report.udp_consumer_devices = udp_devices[0];
+    report.dos_victims = victims[0] + victims[1];
+    report.dos_victims_cps = victims[1];
+    report.backscatter_packets.consumer = backscatter[0];
+    report.backscatter_packets.cps = backscatter[1];
+    report.scanner_devices = scanners[0] + scanners[1];
+    report.scanner_consumer_devices = scanners[0];
+    report.tcp_scan_total = tcp_scan;
+    report.icmp_scanner_devices = icmp_scanners[0] + icmp_scanners[1];
+    report.icmp_scanner_consumer_devices = icmp_scanners[0];
+    report.icmp_scan_total = icmp_scan[0] + icmp_scan[1];
+    report.icmp_scan_consumer_packets = icmp_scan[0];
   }
 
   // ---- UDP roll-ups ----
   report.udp_total_packets =
       report.udp_packets.consumer + report.udp_packets.cps;
-  for (const auto& ledger : report.devices) {
-    if (ledger.udp > 0) {
-      ++report.udp_device_count;
-      if (db_->devices()[ledger.device].is_consumer()) {
-        ++report.udp_consumer_devices;
-      }
-    }
-  }
-  report.udp_distinct_ports = merged->udp_ports_seen.count();
+  report.udp_distinct_ports = merged.udp_ports_seen.count();
   {
-    // Top UDP ports by packets.
+    // Top UDP ports by packets. The comparator is a total order (ports
+    // are unique), so the partial sort keeps exactly the rows, in
+    // exactly the order, a full sort would.
     std::vector<UdpPortRow> rows;
+    rows.reserve(merged.udp_ports_seen.count());
     for (std::uint32_t port = 0; port < 65536; ++port) {
-      if (merged->udp_port_packets[port] > 0) {
+      if (merged.udp_port_packets[port] > 0) {
         rows.push_back({static_cast<net::Port>(port),
-                        merged->udp_port_packets[port],
-                        merged->udp_port_devices[port]});
+                        merged.udp_port_packets[port],
+                        merged.udp_port_devices[port]});
       }
     }
-    std::sort(rows.begin(), rows.end(),
-              [](const UdpPortRow& a, const UdpPortRow& b) {
-                if (a.packets != b.packets) return a.packets > b.packets;
-                return a.port < b.port;
-              });
-    if (rows.size() > 32) rows.resize(32);
+    const auto top = rows.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min<std::size_t>(rows.size(), 32));
+    std::partial_sort(rows.begin(), top, rows.end(),
+                      [](const UdpPortRow& a, const UdpPortRow& b) {
+                        if (a.packets != b.packets) return a.packets > b.packets;
+                        return a.port < b.port;
+                      });
+    rows.erase(top, rows.end());
     report.udp_top_ports = std::move(rows);
   }
   report.udp_consumer_port_ip_correlation = analysis::pearson(
@@ -1228,16 +1321,6 @@ Report AnalysisPipeline::build_report() const {
       report.udp_series.consumer.dst_ips.values());
 
   // ---- backscatter / DoS ----
-  report.backscatter_packets.consumer = 0;
-  report.backscatter_packets.cps = 0;
-  for (const auto& ledger : report.devices) {
-    const std::uint64_t bs = ledger.backscatter();
-    if (bs == 0) continue;
-    ++report.dos_victims;
-    const bool consumer = db_->devices()[ledger.device].is_consumer();
-    if (!consumer) ++report.dos_victims_cps;
-    report.backscatter_packets.of(consumer) += bs;
-  }
   report.backscatter_total =
       report.backscatter_packets.consumer + report.backscatter_packets.cps;
   report.backscatter_mwu =
@@ -1256,7 +1339,7 @@ Report AnalysisPipeline::build_report() const {
       spike.interval = h;
       spike.backscatter_packets = total_bs.at(h);
       double best = 0.0;
-      for (const auto& [device, series] : merged->victim_series) {
+      for (const auto& [device, series] : merged.victim_series) {
         const double v = series[static_cast<std::size_t>(h)];
         // Strict tie-break on the device id: the winner must not depend
         // on hash-map iteration order (it differs per shard count).
@@ -1276,27 +1359,17 @@ Report AnalysisPipeline::build_report() const {
   }
 
   // ---- TCP scanning roll-ups ----
-  report.tcp_scan_total = 0;
-  for (const auto& ledger : report.devices) {
-    if (ledger.tcp_scan > 0) {
-      ++report.scanner_devices;
-      if (db_->devices()[ledger.device].is_consumer()) {
-        ++report.scanner_consumer_devices;
-      }
-    }
-    report.tcp_scan_total += ledger.tcp_scan;
-  }
   {
     const auto& services = workload::scan_services();
     for (std::size_t s = 0; s < services.size(); ++s) {
       ScanServiceRow row;
       row.name = services[s].name;
-      row.packets = merged->service_packets[s];
-      row.consumer_packets = merged->service_consumer_packets[s];
-      row.consumer_devices = merged->service_consumer_devices[s];
-      row.cps_devices = merged->service_cps_devices[s];
+      row.packets = merged.service_packets[s];
+      row.consumer_packets = merged.service_consumer_packets[s];
+      row.consumer_devices = merged.service_consumer_devices[s];
+      row.cps_devices = merged.service_cps_devices[s];
       report.scan_services.push_back(std::move(row));
-      report.scan_service_series[s] = merged->service_series[s];
+      report.scan_service_series[s] = merged.service_series[s];
     }
   }
   {
@@ -1309,36 +1382,26 @@ Report AnalysisPipeline::build_report() const {
         scanners_per_hour_.values(), scan_total.values());
   }
 
-  // ---- unknown-source profiles (coordinator-owned; see observe_view) ----
-  // A source can hold one hot profile and any number of frozen partials
-  // (evicted, then re-promoted when it re-emerged). Fold them per IP with
-  // the same commutative-exact operations as every other merge — summed
-  // tallies, min first / max last interval — so eviction never shows in
-  // the report bytes.
-  std::unordered_map<std::uint32_t, UnknownSourceProfile> folded;
-  folded.reserve(unknown_profiles_.size() + frozen_unknown_.size());
-  const auto fold = [&folded](const UnknownSourceProfile& partial) {
-    auto [it, inserted] = folded.try_emplace(partial.ip.value(), partial);
-    if (inserted) return;
-    UnknownSourceProfile& into = it->second;
-    into.packets += partial.packets;
-    into.tcp_syn_packets += partial.tcp_syn_packets;
-    into.iot_port_packets += partial.iot_port_packets;
-    if (partial.first_interval >= 0 &&
-        (into.first_interval < 0 ||
-         partial.first_interval < into.first_interval)) {
-      into.first_interval = partial.first_interval;
-    }
-    if (partial.last_interval > into.last_interval) {
-      into.last_interval = partial.last_interval;
-    }
-  };
-  for (const auto& [src, profile] : unknown_profiles_) fold(profile);
-  for (const auto& profile : frozen_unknown_) fold(profile);
-  report.unknown_sources.reserve(folded.size());
-  for (const auto& [src, profile] : folded) {
+  // ---- unknown-source profiles (coordinator-owned; see fan_in_hour) ----
+  // A source can hold one hot profile and one folded frozen partial
+  // (evicted, then re-promoted when it re-emerged). Fold them per IP
+  // with the same commutative-exact operations as every other merge —
+  // summed tallies, min first / max last interval — so eviction never
+  // shows in the report bytes.
+  report.unknown_sources.reserve(unknown_profiles_.size() +
+                                 frozen_folded_.size());
+  for (const auto& [src, profile] : unknown_profiles_) {
     report.unknown_sources.push_back(profile);
+    if (const UnknownSourceProfile* frozen = frozen_folded_.find(src)) {
+      merge_profile(report.unknown_sources.back(), *frozen);
+    }
   }
+  frozen_folded_.for_each(
+      [&](std::uint32_t src, const UnknownSourceProfile& profile) {
+        if (!unknown_profiles_.contains(src)) {
+          report.unknown_sources.push_back(profile);
+        }
+      });
   std::sort(report.unknown_sources.begin(), report.unknown_sources.end(),
             [](const UnknownSourceProfile& a, const UnknownSourceProfile& b) {
               // Total order (packets desc, then IP): a packets-only
@@ -1347,20 +1410,6 @@ Report AnalysisPipeline::build_report() const {
               if (a.packets != b.packets) return a.packets > b.packets;
               return a.ip.value() < b.ip.value();
             });
-
-  // ---- ICMP scanning ----
-  for (const auto& ledger : report.devices) {
-    if (ledger.icmp_scan > 0) {
-      ++report.icmp_scanner_devices;
-      report.icmp_scan_total += ledger.icmp_scan;
-      if (db_->devices()[ledger.device].is_consumer()) {
-        ++report.icmp_scanner_consumer_devices;
-        report.icmp_scan_consumer_packets += ledger.icmp_scan;
-      }
-    }
-  }
-
-  return report;
 }
 
 }  // namespace iotscope::core

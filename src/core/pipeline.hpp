@@ -15,11 +15,12 @@
 // kept as the before-variant. Under stealing any worker may touch any
 // source, so every accumulated quantity is merged with commutative-exact
 // operations only (integral sums, min/max, bitwise OR, set unions) and
-// the per-hour fan-in plus finalize() reduce the partials in fixed shard
-// order — the resulting Report is byte-identical across the sequential,
-// static, and stealing paths at every thread count. All hourly series
-// hold integral packet counts well below 2^53, so even the double
-// accumulators are exact and order-insensitive.
+// the per-hour fan-in plus the consolidation at each snapshot() and at
+// finalize() reduce the partials in fixed shard order — the resulting
+// Report is byte-identical across the sequential, static, and stealing
+// paths at every thread count. All hourly series hold integral packet
+// counts well below 2^53, so even the double accumulators are exact and
+// order-insensitive.
 #pragma once
 
 #include <array>
@@ -182,19 +183,25 @@ class AnalysisPipeline {
   /// dependency chain already provides the ordering).
   void drain();
 
-  /// Merges shard state (in fixed shard order), completes cross-hour
-  /// statistics, and returns the report. The pipeline must not be
-  /// observed again afterwards.
+  /// Consolidates the lane partials (see snapshot()), completes the
+  /// cross-hour statistics, and returns the report. The pipeline must
+  /// not be observed again afterwards.
   Report finalize();
 
-  /// Point-in-time report over everything observed so far, without
-  /// consuming the pipeline: the same fixed-order commutative-exact
-  /// reduction finalize() runs, but over copies — observe() may continue
-  /// afterwards. A snapshot taken after the last observe() is
-  /// byte-identical to finalize()'s report; this is what lets the
-  /// streaming study publish periodic reports mid-run and still end on
-  /// the exact batch report.
-  Report snapshot() const;
+  /// Point-in-time report over everything observed so far; observe()
+  /// may continue afterwards. Consolidating: every lane partial is
+  /// folded into the coordinator-owned merged state and the lanes are
+  /// cleared, so a snapshot costs what changed since the previous one
+  /// plus one pass over the merged ledgers — not a re-merge of the whole
+  /// run. The folds are the commutative-exact merges the lanes already
+  /// rely on, so a snapshot after hour N is byte-identical to a batch
+  /// finalize() over hours 0..N, and one taken after the last observe()
+  /// to finalize()'s report.
+  ///
+  /// Call it from the thread that observes, or from an after-hour hook
+  /// (DESIGN.md §8): it mutates the lanes, so it must never overlap an
+  /// observe of another thread.
+  Report snapshot();
 
   /// Moves unknown-source profiles whose last activity predates
   /// `before_interval` out of the hot per-source map into a compact
@@ -248,11 +255,15 @@ class AnalysisPipeline {
   /// Stable source-IP -> shard assignment (multiplicative hash).
   std::size_t shard_of(std::uint32_t src) const noexcept;
 
-  /// The full cross-hour reduction: copies the incrementally-maintained
-  /// report, merges shard partials in fixed shard order into the copy,
-  /// and completes every derived statistic. Const — shared by finalize()
-  /// (which memoizes the result) and snapshot() (which does not).
-  Report build_report() const;
+  /// Folds every lane partial, in fixed shard order, into the merged
+  /// state (merged_ plus the ledgers in report_) and clears the lanes,
+  /// which then hold only what later hours add. Also folds the frozen
+  /// unknown-source partials evicted since the previous call.
+  void consolidate();
+
+  /// Completes every statistic derived from the merged state into
+  /// `report`, a copy of report_ (or report_ itself at finalize()).
+  void complete(Report& report) const;
 
   /// Shared fan-out/fan-in body, parameterized over the record access
   /// policy (columnar BatchView or AoS RowsView — both defined in
@@ -281,6 +292,8 @@ class AnalysisPipeline {
 
   const inventory::IoTDeviceDatabase* db_;
   PipelineOptions options_;
+  /// The per-hour series written at fan-in plus the merged ledgers of
+  /// consolidate(); its derived fields stay empty until finalize().
   Report report_;
   bool finalized_ = false;
   DiscoverySink discovery_sink_;
@@ -299,7 +312,8 @@ class AnalysisPipeline {
     obs::Stage& shard;      ///< per-shard / per-morsel accumulation task
     obs::Stage& fanin;      ///< per-hour cross-shard union + notifications
     obs::Stage& finalize;   ///< finalize() total
-    obs::Stage& merge;      ///< finalize()'s shard-ordered reduction
+    obs::Stage& snapshot;   ///< snapshot() total
+    obs::Stage& merge;      ///< consolidate(): the shard-ordered fold
     obs::Counter& hours;    ///< observe() calls
     obs::Counter& records;  ///< flowtuple records seen
     obs::Counter& batch_records;  ///< records arriving as FlowBatch columns
@@ -334,6 +348,17 @@ class AnalysisPipeline {
   std::vector<Morsel> morsels_;                        ///< stealing work list, reused
   util::FlatSet<std::uint32_t> union_scratch_;         ///< fan-in dst-IP union
   analysis::HourlySeries scanners_per_hour_;  ///< coordinator-owned
+  /// Tallies, series, pair sets and victim series folded out of the
+  /// lanes by consolidate(). The merged device ledgers live in
+  /// report_.devices (first-sighting order) and report_.device_index.
+  std::unique_ptr<ShardState> merged_;
+  /// Inventory index -> position in report_.devices (kNotMerged when the
+  /// device has no merged ledger yet); sized to the inventory on first
+  /// use.
+  std::vector<std::uint32_t> merged_position_;
+  /// Realm of each merged ledger (1 = consumer), row-aligned with
+  /// report_.devices, so the derived counts never consult the inventory.
+  std::vector<std::uint8_t> merged_consumer_;
   /// Devices already announced to the discovery sink. Under stealing a
   /// device's ledger can be created in several worker partials (even in
   /// different hours), so first-sighting dedup must be global.
@@ -341,10 +366,12 @@ class AnalysisPipeline {
   /// Cross-hour unknown-source profiles, coordinator-owned: promotion
   /// happens at fan-in on the per-hour totals, never per worker.
   std::unordered_map<std::uint32_t, UnknownSourceProfile> unknown_profiles_;
-  /// Profiles moved out of the hot map by evict_idle_unknown_profiles():
-  /// append-only, never hashed again. Folded back with the hot map per IP
-  /// when a report is built.
+  /// Profiles moved out of the hot map by evict_idle_unknown_profiles()
+  /// since the last consolidate(), which folds them per IP into
+  /// frozen_folded_; a report folds that with the hot map per IP.
   std::vector<UnknownSourceProfile> frozen_unknown_;
+  /// frozen_unknown_ partials folded per IP by past consolidate() calls.
+  util::FlatMap<std::uint32_t, UnknownSourceProfile> frozen_folded_;
   util::FlatMap<std::uint32_t, UnknownHourTally> unknown_scratch_;  ///< fan-in sum
   net::FlowBatch batch_scratch_;      ///< AoS observe() conversion, reused
   std::vector<ClassTag> tag_scratch_;  ///< per-batch tag column, reused

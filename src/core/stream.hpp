@@ -21,8 +21,9 @@
 //    0..N — the stream pays no precision or determinism tax.
 //
 //  * Periodic immutable snapshots. Every `snapshot_every` admitted
-//    hours the engine builds a full Report via the pipeline's const
-//    snapshot() reduction and publishes it — stamped with a
+//    hours the engine builds a full Report via the pipeline's
+//    consolidating snapshot(), which folds only what the lanes gathered
+//    since the previous one, and publishes it — stamped with a
 //    monotonically increasing epoch — through an atomic shared_ptr:
 //    readers on other threads (the serve/ query workers) load the
 //    pointer lock-free and then read an immutable object at leisure

@@ -385,6 +385,32 @@ TEST(ObsMetricsTest, PipelineRunCoversAllStagesAndReconcilesWallTime) {
   EXPECT_EQ(snap.stage("pipeline.merge")->calls, 1u);
 }
 
+TEST(ObsMetricsTest, SnapshotsAreTimedApartFromFinalize) {
+  // A daemon that publishes every few hours must not look, on /metrics,
+  // like one that finalized that many times: snapshots get their own
+  // stage, finalize() counts once, and every one of them consolidates.
+  Registry::instance().reset();
+  core::PipelineOptions options;
+  options.threads = 2;
+  core::AnalysisPipeline pipeline(tiny_scenario().inventory, options);
+  std::uint64_t snapshots = 0;
+  for (const auto& h : tiny_hours()) {
+    pipeline.observe(h);
+    if (h.interval % 3 == 0) {
+      pipeline.snapshot();
+      ++snapshots;
+    }
+  }
+  pipeline.finalize();
+  ASSERT_GT(snapshots, 1u);
+
+  const auto snap = Registry::instance().snapshot();
+  ASSERT_NE(snap.stage("pipeline.snapshot"), nullptr);
+  EXPECT_EQ(snap.stage("pipeline.snapshot")->calls, snapshots);
+  EXPECT_EQ(snap.stage("pipeline.finalize")->calls, 1u);
+  EXPECT_EQ(snap.stage("pipeline.merge")->calls, snapshots + 1);
+}
+
 TEST(ObsMetricsTest, JsonSnapshotIsWellFormedAndCoversTheStages) {
   // Each gtest case may run in its own process (ctest discovery), so
   // produce the full stage set here: disk store -> pipeline -> finalize.

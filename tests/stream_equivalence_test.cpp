@@ -4,11 +4,15 @@
 // same files — at every thread count, with eviction enabled, on both a
 // normal and a heavy-hitter-dominated workload. Mid-stream snapshots
 // must grow monotonically, and below-watermark arrivals must be dropped
-// as late rather than admitted out of order. The concurrent tests pit
-// the writer's atomic rename publication against the reader's directory
-// polls; run under TSan (ctest label `tsan`) for full value.
+// as late rather than admitted out of order. Every snapshot published
+// along the way must equal a batch run over exactly the hours admitted
+// before it. The concurrent tests pit the writer's atomic rename
+// publication against the reader's directory polls, and the Graph cases
+// consolidate on a scheduler lane; run under TSan (ctest label `tsan`)
+// for full value.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -452,6 +456,184 @@ TEST(StreamWatermarkTest, BelowWatermarkArrivalsAreDroppedAsLate) {
   const auto report = stream.finalize();
   EXPECT_EQ(report.total_packets + report.unattributed_packets,
             batches[5].total_packets() + batches[7].total_packets());
+}
+
+// ------------------------------------------------ epoch by epoch
+
+/// Renders of fresh batch pipelines over the first k hour files of
+/// `store` (entry k-1), each finalized on its own: the goldens for the
+/// snapshot published after k admitted hours. Hours that fail to decode
+/// are skipped, as the stream quarantines them.
+std::vector<std::string> prefix_goldens(
+    const inventory::IoTDeviceDatabase& inventory,
+    const telescope::FlowTupleStore& store) {
+  std::vector<net::FlowBatch> hours;
+  for (const int interval : store.intervals()) {
+    net::FlowBatch batch;
+    batch.interval = interval;
+    try {
+      if (auto loaded = store.get_batch(interval)) batch = std::move(*loaded);
+    } catch (const util::IoError&) {
+    }
+    hours.push_back(std::move(batch));
+  }
+  std::vector<std::string> goldens;
+  for (std::size_t k = 1; k <= hours.size(); ++k) {
+    AnalysisPipeline pipeline(inventory, stream_pipeline_options(1));
+    for (std::size_t h = 0; h < k; ++h) pipeline.observe(hours[h]);
+    goldens.push_back(render_everything(pipeline.finalize(), inventory));
+  }
+  return goldens;
+}
+
+/// The store's hour files in interval order (zero-padded names sort by
+/// interval), hostile ones included.
+std::vector<std::filesystem::path> hour_files(
+    const std::filesystem::path& dir) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.is_regular_file() &&
+        entry.path().filename().string().front() != '.') {
+      files.push_back(entry.path());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+class EpochEquivalenceTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(EpochEquivalenceTest, EverySnapshotMatchesABatchOverTheHoursSoFar) {
+  // A consolidating publish folds the lanes into the merged state and
+  // clears them. Dropping or double-counting one epoch in that fold
+  // would survive a final-report comparison only by luck, and not this
+  // one: after every publish the snapshot must render byte-identical to
+  // a fresh batch over exactly the hours admitted before it.
+  const auto script = workload::builtin_scenario(GetParam());
+  ASSERT_TRUE(script.has_value());
+  const workload::ScenarioEngine engine(*script);
+  const auto& inventory = engine.scenario().inventory;
+  util::TempDir source_dir;
+  telescope::FlowTupleStore source(source_dir.path());
+  engine.write_to_store(source);
+  const auto files = hour_files(source_dir.path());
+  const auto goldens = prefix_goldens(inventory, source);
+  ASSERT_EQ(files.size(), goldens.size());
+
+  for (const auto scheduler :
+       {ShardScheduler::Stealing, ShardScheduler::Graph}) {
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      for (const int every : {1, 6}) {
+        SCOPED_TRACE(testing::Message()
+                     << "graph=" << (scheduler == ShardScheduler::Graph)
+                     << " threads=" << threads << " every=" << every);
+        util::TempDir dir;
+        telescope::FlowTupleStore store(dir.path());
+        auto pipeline_options = stream_pipeline_options(threads);
+        pipeline_options.scheduler = scheduler;
+        StreamOptions stream_options;
+        stream_options.snapshot_every = every;
+        stream_options.evict_after_hours = 1;
+        StreamingStudy stream(inventory, store, pipeline_options,
+                              stream_options);
+        std::size_t mismatches = 0;
+        for (std::size_t k = 1; k <= files.size(); ++k) {
+          // A hard link appears complete in one step, as put()'s rename.
+          std::filesystem::create_hard_link(
+              files[k - 1], dir.path() / files[k - 1].filename());
+          ASSERT_EQ(stream.poll_once(), 1u);
+          if (k % static_cast<std::size_t>(every) != 0) continue;
+          // Under Graph the publish runs in the hour's after-hook on a
+          // lane; wait for it rather than drain, so later hours keep
+          // overlapping as they do in follow().
+          const std::uint64_t epoch = k / static_cast<std::size_t>(every);
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(60);
+          while (stream.epoch() < epoch &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          const auto published = stream.latest_published();
+          ASSERT_TRUE(published);
+          ASSERT_EQ(published->epoch, epoch);
+          if (render_everything(published->report, inventory) !=
+              goldens[k - 1]) {
+            ADD_FAILURE() << "snapshot after " << k << " hours differs";
+            if (++mismatches == 3) break;
+          }
+        }
+        EXPECT_EQ(render_everything(stream.finalize(), inventory),
+                  goldens.back());
+        EXPECT_GT(stream.stats().profiles_evicted, 0u);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Builtins, EpochEquivalenceTest,
+    ::testing::ValuesIn(workload::builtin_scenario_names()),
+    [](const testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+TEST(StreamDiscoveryTest, SinkAnnouncesEachDeviceOnceAcrossPublishes) {
+  // A publish clears the lanes, so a device seen again after it
+  // re-enters its lane's new-device list; only the global discovered
+  // set keeps it from being announced twice. Publishing after every
+  // hour maximises those re-entries, and the announcements must still be
+  // the batch run's, in its order.
+  const auto config = stream_config();
+  const auto scenario = workload::build_scenario(config);
+  std::vector<net::FlowBatch> batches;
+  telescope::TelescopeCapture capture(
+      telescope::DarknetSpace(config.darknet),
+      [&batches](net::FlowBatch&& batch) {
+        batches.push_back(std::move(batch));
+      });
+  workload::synthesize_into(scenario, config, capture);
+
+  std::vector<std::uint32_t> batch_order;
+  {
+    AnalysisPipeline pipeline(scenario.inventory, stream_pipeline_options(1));
+    pipeline.set_discovery_sink([&batch_order](const Discovery& discovery) {
+      batch_order.push_back(discovery.device);
+    });
+    for (const auto& batch : batches) pipeline.observe(batch);
+    ASSERT_EQ(batch_order.size(), pipeline.finalize().discovered_total());
+  }
+  ASSERT_GT(batch_order.size(), 0u);
+
+  for (const auto scheduler :
+       {ShardScheduler::Stealing, ShardScheduler::Graph}) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "graph=" << (scheduler == ShardScheduler::Graph)
+                   << " threads=" << threads);
+      auto options = stream_pipeline_options(threads);
+      options.scheduler = scheduler;
+      AnalysisPipeline pipeline(scenario.inventory, options);
+      std::vector<std::uint32_t> announced;
+      pipeline.set_discovery_sink([&announced](const Discovery& discovery) {
+        announced.push_back(discovery.device);
+      });
+      std::size_t snapshots = 0;
+      for (const auto& batch : batches) {
+        // What StreamingStudy does with snapshot_every = 1: publish from
+        // the after-hour hook (a scheduler lane under Graph).
+        pipeline.observe_async(batch, [&](const net::FlowBatch&, bool ok) {
+          if (!ok) return;
+          pipeline.snapshot();
+          ++snapshots;
+        });
+      }
+      pipeline.drain();
+      EXPECT_EQ(snapshots, batches.size());
+      EXPECT_EQ(announced, batch_order);
+    }
+  }
 }
 
 }  // namespace

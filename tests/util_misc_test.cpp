@@ -1,10 +1,12 @@
 // Tests for the time base, string helpers, and binary I/O primitives.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <random>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "util/flat_hash.hpp"
 #include "util/io.hpp"
@@ -316,6 +318,78 @@ TEST(FlatHash, SetMatchesUnorderedReferenceUnderChurn) {
     set.clear();
     reference.clear();
   }
+}
+
+TEST(FlatHash, InsertAllUnionsLiveKeysAndReportsEachNewOnce) {
+  // A lane cleared by epoch keeps its stale slots; only its live keys
+  // may reach the union, and on_new must fire exactly for the keys the
+  // destination did not hold.
+  std::mt19937_64 rng(7);
+  FlatSet<std::uint64_t> merged;
+  std::unordered_set<std::uint64_t> reference;
+  FlatSet<std::uint64_t> lane;
+  for (int epoch = 0; epoch < 8; ++epoch) {
+    lane.clear();
+    std::unordered_set<std::uint64_t> lane_keys;
+    for (int i = 0; i < 3000; ++i) {
+      const std::uint64_t key = rng() % 10000;
+      lane.insert(key);
+      lane_keys.insert(key);
+    }
+    std::unordered_set<std::uint64_t> reported;
+    merged.insert_all(lane, [&](std::uint64_t key) {
+      EXPECT_TRUE(reported.insert(key).second) << key;
+    });
+    std::unordered_set<std::uint64_t> expected;
+    for (const std::uint64_t key : lane_keys) {
+      if (reference.insert(key).second) expected.insert(key);
+    }
+    EXPECT_EQ(reported, expected);
+    ASSERT_EQ(merged.size(), reference.size());
+  }
+}
+
+TEST(FlatHash, InsertAllStaysLinearFoldingALargeLaneManyTimes) {
+  // The consolidating publish folds every lane's pair set into one
+  // persistent set. Walked in slot order, a large lane packs into one
+  // probe cluster of a destination that grows while it arrives — the
+  // first fold into an empty set would take over ten seconds here. With
+  // the destination pre-sized, folding costs what inserting the same
+  // keys in arbitrary order costs.
+  constexpr int kRounds = 4;
+  constexpr std::uint64_t kLaneKeys = 1u << 19;
+  std::vector<std::uint64_t> keys(kRounds * kLaneKeys);
+  std::mt19937_64 rng(11);
+  for (auto& key : keys) key = rng();
+
+  using Clock = std::chrono::steady_clock;
+  const auto baseline_start = Clock::now();
+  {
+    FlatSet<std::uint64_t> direct;
+    direct.reserve(keys.size());
+    for (const std::uint64_t key : keys) direct.insert(key);
+    ASSERT_EQ(direct.size(), keys.size());
+  }
+  const auto baseline = Clock::now() - baseline_start;
+
+  FlatSet<std::uint64_t> merged;
+  FlatSet<std::uint64_t> lane;
+  std::size_t fresh = 0;
+  const auto fold_start = Clock::now();
+  for (int round = 0; round < kRounds; ++round) {
+    lane.clear();
+    for (std::uint64_t i = 0; i < kLaneKeys; ++i) {
+      lane.insert(keys[round * kLaneKeys + i]);
+    }
+    merged.insert_all(lane, [&fresh](std::uint64_t) { ++fresh; });
+  }
+  const auto folded = Clock::now() - fold_start;
+  EXPECT_EQ(fresh, keys.size());
+  EXPECT_EQ(merged.size(), keys.size());
+  // The fold also builds the lanes (about 2.5x the baseline), so allow a
+  // wide margin; quadratic probing overshoots it by an order of
+  // magnitude.
+  EXPECT_LT(folded, 10 * baseline + std::chrono::milliseconds(100));
 }
 
 TEST(FlatHash, MapOperatorBracketAndFind) {
